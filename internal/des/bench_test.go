@@ -6,8 +6,8 @@ import "testing"
 // processes ping-ponging through Delay plus a periodic callback, the mix
 // Table2 simulations exercise. With the event freelist, steady-state
 // scheduling performs zero heap allocations per event (run with
-// -benchmem; the small constant per op is goroutine machinery, not
-// events).
+// -benchmem; the small constant per op is the set-up of each Spawn's
+// iter.Pull coroutine, not events or switches).
 func BenchmarkKernelChurn(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -23,6 +23,38 @@ func BenchmarkKernelChurn(b *testing.B) {
 		k.Run(0)
 		k.Shutdown()
 	}
+}
+
+// BenchmarkProcSwitch measures one process switch: two processes hand
+// the turn to each other through a Signal, so every resume switches
+// into a process and back out when it waits again. ns/switch is host
+// time per resume (the des.switches unit of the repository benchmark).
+func BenchmarkProcSwitch(b *testing.B) {
+	k := NewKernel()
+	var turnSig Signal
+	turn, left := 0, b.N
+	for id := 0; id < 2; id++ {
+		k.Spawn("pingpong", 0, func(p *Proc) {
+			for {
+				for turn != id {
+					p.Wait(&turnSig)
+				}
+				if left == 0 {
+					k.Stop()
+					return
+				}
+				left--
+				turn = 1 - id
+				k.Broadcast(&turnSig)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run(0)
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(k.Dispatched()), "ns/switch")
+	k.Shutdown()
 }
 
 // BenchmarkEventSchedule isolates push/pop of pure callback events with

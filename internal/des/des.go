@@ -1,10 +1,17 @@
 // Package des is a deterministic discrete-event simulation kernel with
-// cooperative goroutine processes. It provides the virtual-time substrate
+// cooperative coroutine processes. It provides the virtual-time substrate
 // on which the SCC platform model and the Kahn-process-network runtime
 // execute: processes advance a shared virtual clock by sleeping
-// (Proc.Delay) and blocking on conditions (Proc.Block), and the kernel
-// resumes exactly one process at a time, ordered by (time, sequence
-// number), so every run of the same program is bit-identical.
+// (Proc.Delay) and blocking on conditions (Proc.Wait). Each process is
+// an iter.Pull coroutine: the kernel switches into exactly one process
+// at a time, ordered by (time, sequence number), and the process
+// switches back when it delays, waits or returns, so every run of the
+// same program is bit-identical.
+//
+// The process driver (proc.go) needs Go 1.23 for iter.Pull. It carries
+// a go1.23 build constraint instead of raising the module's go
+// directive, so modules that require this one at go 1.22 still build;
+// an older toolchain stops at a compile error naming the requirement.
 //
 // Time is in ticks; one tick is one microsecond of virtual time
 // throughout this repository.
@@ -32,12 +39,12 @@ type event struct {
 // Kernel is a discrete-event simulator. The zero value is not usable;
 // create kernels with NewKernel.
 type Kernel struct {
-	now     Time
-	seq     uint64
-	events  eventQueue
-	procs   []*Proc
-	running *Proc  // the process currently executing, nil in kernel context
-	free    *event // freelist of consumed events, reused by push
+	now        Time
+	seq        uint64
+	events     eventQueue
+	procs      []*Proc
+	running    *Proc  // the process currently executing, nil in kernel context
+	free       *event // freelist of consumed events, reused by push
 	stopped    bool
 	panicV     any    // re-thrown panic from a process
 	dispatched uint64 // events consumed across all Run calls
@@ -188,8 +195,7 @@ func (k *Kernel) Run(until Time) Time {
 func (k *Kernel) resume(p *Proc) {
 	k.running = p
 	p.state = stateRunning
-	p.resume <- struct{}{}
-	<-p.yielded
+	p.next()
 	k.running = nil
 	if p.state == stateDone {
 		k.emit("end", p.name)
@@ -224,17 +230,18 @@ func (k *Kernel) Pending() int { return k.events.len() }
 // execution and throughput benchmarks.
 func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 
-// Shutdown terminates all process goroutines that have not finished,
-// unwinding their stacks. Call it once after the final Run to avoid
-// leaking goroutines; the kernel must not be used afterwards.
+// Shutdown stops every process that has not finished, unwinding the
+// stacks of those suspended in Delay or Wait; a process that never
+// started does not run its body at all. Call it once after the final
+// Run to release the processes' coroutines; the kernel must not be used
+// afterwards.
 func (k *Kernel) Shutdown() {
 	k.stopped = true
 	for _, p := range k.procs {
 		if p.state == stateDone {
 			continue
 		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-p.yielded
+		p.stop()
+		p.state = stateDone
 	}
 }

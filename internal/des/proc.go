@@ -1,6 +1,11 @@
+//go:build go1.23
+
 package des
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // procState tracks where a process is in its lifecycle.
 type procState int
@@ -12,46 +17,41 @@ const (
 	stateDone                     // body returned
 )
 
-// Proc is a simulated process: a goroutine that advances virtual time by
+// Proc is a simulated process: a coroutine that advances virtual time by
 // calling Delay and synchronizes with other processes via Signals and the
 // structures built on them. All Proc methods must be called from the
 // process's own body function.
 type Proc struct {
-	k       *Kernel
-	name    string
-	state   procState
-	killed  bool
-	resume  chan struct{}
-	yielded chan struct{}
+	k     *Kernel
+	name  string
+	state procState
+	next  func() (struct{}, bool) // switch into the process until it yields
+	stop  func()                  // unwind the process (see Kernel.Shutdown)
+	yf    func(struct{}) bool     // switch back to the kernel; false once stopped
 }
 
-// errKilled is the sentinel used by Kernel.Shutdown to unwind process
-// goroutines that are still alive when the simulation is torn down.
+// errKilled is the sentinel Proc.yield panics with when Kernel.Shutdown
+// stops a process, to unwind the body's stack silently.
 type errKilled struct{}
 
 // Spawn creates a process that starts executing body at virtual time
-// now+startDelay. The body runs in its own goroutine but strictly
-// interleaved with all other processes under kernel control.
+// now+startDelay. The body runs as an iter.Pull coroutine: the kernel
+// switches into it on resume and it switches back when it delays, blocks
+// or returns, so exactly one process runs at a time and each switch is a
+// direct coroutine hand-off rather than a scheduler round trip.
+//
+// A panic in body is re-thrown from Run. runtime.Goexit in body (and so
+// t.FailNow or t.Fatal in a test) ends the goroutine that called Run as
+// well, because iter.Pull propagates Goexit to the caller of next: Run
+// does not return, and on a ShardedKernel that goroutine is the shard's
+// runner.
 func (k *Kernel) Spawn(name string, startDelay Time, body func(p *Proc)) *Proc {
 	if startDelay < 0 {
 		panic(fmt.Sprintf("des: negative start delay %d for process %q", startDelay, name))
 	}
-	p := &Proc{
-		k:       k,
-		name:    name,
-		state:   stateReady,
-		resume:  make(chan struct{}),
-		yielded: make(chan struct{}),
-	}
-	k.procs = append(k.procs, p)
-	k.emit("spawn", name)
-	go func() {
-		<-p.resume
-		if p.killed {
-			p.state = stateDone
-			p.yielded <- struct{}{}
-			return
-		}
+	p := &Proc{k: k, name: name, state: stateReady}
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yf = yield
 		defer func() {
 			if v := recover(); v != nil {
 				if _, ok := v.(errKilled); !ok {
@@ -59,10 +59,11 @@ func (k *Kernel) Spawn(name string, startDelay Time, body func(p *Proc)) *Proc {
 				}
 			}
 			p.state = stateDone
-			p.yielded <- struct{}{}
 		}()
 		body(p)
-	}()
+	})
+	k.procs = append(k.procs, p)
+	k.emit("spawn", name)
 	k.push(k.now+startDelay, p, nil)
 	return p
 }
@@ -90,9 +91,7 @@ func (p *Proc) Delay(d Time) {
 // yield returns control to the kernel, recording the new state.
 func (p *Proc) yield(s procState) {
 	p.state = s
-	p.yielded <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.yf(struct{}{}) {
 		panic(errKilled{})
 	}
 	p.state = stateRunning

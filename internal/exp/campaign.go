@@ -251,8 +251,9 @@ type CampaignRun struct {
 	LatencyMarginPct float64 `json:"latency_margin_pct"`
 }
 
-// campaignOne executes one scenario against its golden reference.
-func campaignOne(sc Scenario, g *golden, pol ft.PolicySpec) (CampaignRun, error) {
+// campaignOne executes one scenario against its golden reference and
+// the cell's detection bounds under pol.
+func campaignOne(sc Scenario, g *golden, bounds MKBounds, pol ft.PolicySpec) (CampaignRun, error) {
 	res := CampaignRun{Scenario: sc, DetectedUs: -1, RecoveredUs: -1,
 		SecondInjectUs: -1, SecondDetectedUs: -1, LatencyMarginPct: -1}
 	violate := func(format string, args ...any) {
@@ -345,22 +346,16 @@ func campaignOne(sc Scenario, g *golden, pol ft.PolicySpec) (CampaignRun, error)
 	}
 
 	// --- Invariant 3: detection, within the analytic bound for stop modes. ---
+	// The bound is the armed policy's own: an (m,k) detector forgives m
+	// violations per window, so it promises the (m,k) bound, not the
+	// binary one (m = 0 reproduces the sizing bounds exactly).
 	first, ok := sys.FirstFault(sc.Replica)
 	if !ok || first.At < sc.InjectUs {
 		violate("fault injected at %dus was never detected", sc.InjectUs)
 	} else {
 		res.DetectedUs = int64(first.At)
 		latency := first.At - sc.InjectUs
-		var bound des.Time
-		switch sc.Mode {
-		case "stop-all":
-			bound = min(g.sizing.SelBoundUs, g.sizing.RepBoundUs)
-		case "stop-producing":
-			bound = g.sizing.SelBoundUs
-		case "stop-consuming":
-			bound = g.sizing.RepBoundUs
-		}
-		if bound > 0 {
+		if bound := stopBound(modeByName(sc.Mode), bounds); bound > 0 {
 			if latency > bound {
 				violate("detection latency %dus exceeds analytic bound %dus (%s)",
 					latency, bound, sc.Mode)
@@ -463,9 +458,16 @@ func Campaign(cfg CampaignConfig, opts ...Option) (*CampaignResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	bounds := make(map[goldenKey]MKBounds, len(goldens))
+	for key, g := range goldens {
+		if bounds[key], err = MKDetectionBounds(g.app, g.sizing, mkBudget(cfg.Policy)); err != nil {
+			return nil, err
+		}
+	}
 	runs, err := runIndexed(rc.workers, cfg.Runs, func(i int) (CampaignRun, error) {
 		sc := ScenarioFor(cfg.Seed, i)
-		return campaignOne(sc, goldens[goldenKey{sc.App, sc.MinJitter}], cfg.Policy)
+		key := goldenKey{sc.App, sc.MinJitter}
+		return campaignOne(sc, goldens[key], bounds[key], cfg.Policy)
 	})
 	if err != nil {
 		return nil, err

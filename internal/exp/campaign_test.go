@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ftpn/internal/ft"
 )
 
 // TestCampaignInvariantsHold runs a small slice of the randomized
@@ -32,6 +34,26 @@ func TestCampaignInvariantsHold(t *testing.T) {
 	}
 	if res.MarginRuns == 0 || res.MinMarginPct < 0 {
 		t.Errorf("no stop-mode run produced a latency margin (MarginRuns=%d)", res.MarginRuns)
+	}
+}
+
+// TestCampaignMKPolicyMeetsItsOwnBound pins invariant 3 to the armed
+// policy's bound: an (m,k) detector forgives m violations per window,
+// so it is held to the (m,k) detection bound of MKDetectionBounds. In
+// this campaign 9 of the 32 runs detect later than the binary (m = 0)
+// bound allows, and none later than the (2,16) bound.
+func TestCampaignMKPolicyMeetsItsOwnBound(t *testing.T) {
+	pol := ft.PolicySpec{Kind: ft.PolicyMK, M: 2, K: 16, Value: true}
+	res, err := Campaign(CampaignConfig{Runs: 32, Seed: 1, Policy: pol})
+	if err != nil {
+		t.Fatalf("Campaign: %v", err)
+	}
+	if res.Violations != 0 {
+		t.Fatalf("%d invariant violations under %s:\n%s", res.Violations, pol, res.String())
+	}
+	if res.MarginRuns == 0 || res.MinMarginPct < 0 {
+		t.Errorf("no stop-mode run produced a latency margin (MarginRuns=%d, min %.1f%%)",
+			res.MarginRuns, res.MinMarginPct)
 	}
 }
 

@@ -238,11 +238,7 @@ func DetectBench(runsPerCell int, seed int64, opts ...Option) (*DetectReport, er
 		mkv.Value = true
 		pols := []ft.PolicySpec{{Kind: ft.PolicyBinary}, mk, mkv}
 		for pi, pol := range pols {
-			m := 0
-			if pol.Kind == ft.PolicyMK {
-				m = pol.M
-			}
-			b, err := MKDetectionBounds(g.app, g.sizing, m)
+			b, err := MKDetectionBounds(g.app, g.sizing, mkBudget(pol))
 			if err != nil {
 				return nil, err
 			}

@@ -222,10 +222,7 @@ func latTopoOne(seed int64) (LatRun, error) {
 		violate("sizing: %v", err)
 		return run, nil
 	}
-	polM := 0
-	if pol.Kind == ft.PolicyMK {
-		polM = pol.M
-	}
+	polM := mkBudget(pol)
 	bounds, err := MKDetectionBounds(app, sizing, polM)
 	if err != nil {
 		violate("mk bounds: %v", err)
@@ -301,11 +298,7 @@ func latAppOne(g *golden, appName string, pol ft.PolicySpec, polName string, mod
 	replica := 1 + idx%2
 	injectAt := des.Time(app.Tokens/2) * app.PeriodUs
 	run.InjectAtUs = int64(injectAt)
-	polM := 0
-	if pol.Kind == ft.PolicyMK {
-		polM = pol.M
-	}
-	bounds, err := MKDetectionBounds(app, g.sizing, polM)
+	bounds, err := MKDetectionBounds(app, g.sizing, mkBudget(pol))
 	if err != nil {
 		return run, err
 	}

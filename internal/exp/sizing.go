@@ -174,6 +174,16 @@ func (b MKBounds) Worst() des.Time {
 	return b.SelBoundUs
 }
 
+// mkBudget is the violation budget m whose bounds a detector armed
+// with pol must meet: pol.M under an (m,k) policy, 0 (the binary
+// bounds) otherwise.
+func mkBudget(pol ft.PolicySpec) int {
+	if pol.Kind == ft.PolicyMK {
+		return pol.M
+	}
+	return 0
+}
+
 // MKDetectionBounds re-derives the stopped-replica detection bounds of
 // ComputeSizing under an (m,k) policy with violation budget m. m = 0
 // reproduces (SelBoundUs, RepBoundUs) exactly.
