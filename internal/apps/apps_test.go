@@ -305,3 +305,89 @@ func TestReplicaOutputModelEnvelope(t *testing.T) {
 		}
 	}
 }
+
+// streamKey is what the campaign's golden comparison sees of a token.
+type streamKey struct {
+	Seq   int64
+	Stamp des.Time
+	Hash  uint64
+}
+
+// TestMergeStagesMemoised: the MJPEG mergeframe and H264 muxstream
+// stages build their output through the payload memo. Their duplicated
+// consumer streams match the nil-memo oracle in (Seq, Stamp, Hash), and
+// a second run on the same memo computes nothing: the merged payloads
+// are all cache hits.
+func TestMergeStagesMemoised(t *testing.T) {
+	dupCfg := ft.BuildConfig{
+		ReplicatorCaps: map[string][2]int{"F_in": {6, 8}},
+		SelectorCaps:   map[string][2]int{"F_out": {8, 12}},
+		SelectorInits:  map[string][2]int{"F_out": {3, 3}},
+		SelectorD:      map[string]int64{"F_out": 6},
+	}
+	mj := DefaultMJPEGConfig()
+	mj.Frames = 60
+	h := DefaultH264Config()
+	h.Frames = 60
+	cases := []struct {
+		stage string
+		build func(memo *kpn.PayloadMemo, sink Sink) (*kpn.Network, error)
+	}{
+		{"mjpeg/mergeframe", func(memo *kpn.PayloadMemo, sink Sink) (*kpn.Network, error) {
+			cfg := mj
+			cfg.Memo = memo
+			return MJPEGNetwork(cfg, sink)
+		}},
+		{"h264/muxstream", func(memo *kpn.PayloadMemo, sink Sink) (*kpn.Network, error) {
+			cfg := h
+			cfg.Memo = memo
+			return H264Network(cfg, sink)
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.stage, func(t *testing.T) {
+			run := func(memo *kpn.PayloadMemo) []streamKey {
+				var got []streamKey
+				net, err := c.build(memo, func(now des.Time, tok kpn.Token) {
+					if tok.Seq > 0 {
+						got = append(got, streamKey{tok.Seq, tok.Stamp, tok.Hash()})
+					}
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				k := des.NewKernel()
+				if _, err := ft.Build(k, net, dupCfg); err != nil {
+					t.Fatal(err)
+				}
+				k.Run(0)
+				k.Shutdown()
+				if len(got) == 0 {
+					t.Fatal("empty consumer stream")
+				}
+				return got
+			}
+			oracle := run(nil)
+			memo := kpn.NewPayloadMemo()
+			for pass := 1; pass <= 2; pass++ {
+				_, missesBefore := memo.Stats()
+				got := run(memo)
+				_, misses := memo.Stats()
+				if len(got) != len(oracle) {
+					t.Fatalf("pass %d: %d tokens, nil-memo oracle %d", pass, len(got), len(oracle))
+				}
+				for i := range oracle {
+					if got[i] != oracle[i] {
+						t.Fatalf("pass %d token %d: %+v, nil-memo oracle %+v", pass, i, got[i], oracle[i])
+					}
+				}
+				if _, ok := memo.Lookup(c.stage, oracle[0].Seq); !ok {
+					t.Fatalf("pass %d: %s output not memoised", pass, c.stage)
+				}
+				if pass == 2 && misses != missesBefore {
+					t.Errorf("second run on the same memo missed %d times, want 0", misses-missesBefore)
+				}
+			}
+		})
+	}
+}

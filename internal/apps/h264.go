@@ -31,8 +31,8 @@ type H264Config struct {
 	OutInit               int
 
 	// Memo, when non-nil, caches the deterministic payload pipeline
-	// (raw-frame synthesis, per-slice encode) across runs sharing the
-	// config.
+	// (raw-frame synthesis, per-slice encode, stream mux) across runs
+	// sharing the config.
 	Memo *kpn.PayloadMemo
 }
 
@@ -159,19 +159,22 @@ func H264Network(cfg H264Config, sink Sink) (*kpn.Network, error) {
 					panic(fmt.Sprintf("apps: muxstream ports %d/%d", len(in), len(out)))
 				}
 				rng := newStageRand(34 + int64(r))
-				for i := int64(1); ; i++ {
-					parts := make([][]byte, len(in))
+				parts := make([][]byte, len(in))
+				for {
 					var seq int64
+					n := 0
 					for s, ip := range in {
 						tok := ip.Read(p)
 						if s == 0 {
 							seq = tok.Seq
 						}
 						parts[s] = tok.Payload
+						n += 4 + len(tok.Payload) // chain32 length
 					}
-					muxed := chain32(parts)
-					p.Delay(stageDuration(work, rng, len(muxed)))
-					out[0].Write(p, kpn.Token{Seq: seq, Stamp: p.Now(), Payload: muxed})
+					p.Delay(stageDuration(work, rng, n))
+					out[0].Write(p, cfg.Memo.Token("h264/muxstream", seq, p.Now(), func() []byte {
+						return chain32(parts)
+					}))
 				}
 			}
 		}},

@@ -34,8 +34,9 @@ type MJPEGConfig struct {
 	OutInit               int
 
 	// Memo, when non-nil, caches the deterministic payload pipeline
-	// (frame encode, per-strip decode) across runs sharing the config;
-	// see kpn.PayloadMemo. Timing and output streams are unaffected.
+	// (frame encode, per-strip decode, frame merge) across runs sharing
+	// the config; see kpn.PayloadMemo. Timing and output streams are
+	// unaffected.
 	Memo *kpn.PayloadMemo
 }
 
@@ -193,7 +194,9 @@ func splitStreamBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
 	}
 }
 
-// mergeFrameBehavior reassembles strips into one decoded frame.
+// mergeFrameBehavior reassembles strips into one decoded frame. The
+// frame is a pure function of the stream index, so it is memoised like
+// the decoders' output; only a miss assembles it.
 func mergeFrameBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
 	work := cfg.Merge.work(replica)
 	return func(p *des.Proc, in []kpn.ReadPort, out []kpn.WritePort) {
@@ -201,22 +204,29 @@ func mergeFrameBehavior(cfg MJPEGConfig, replica int) kpn.Behavior {
 			panic(fmt.Sprintf("apps: mergeframe ports %d/%d, want %d/1", len(in), len(out), cfg.Strips))
 		}
 		rng := newStageRand(19 + int64(replica))
-		frame := make([]byte, 0, cfg.DecodedBytes())
+		parts := make([][]byte, len(in))
 		for i := int64(1); ; i++ {
-			frame = frame[:0]
 			var seq int64
+			n := 0
 			for s, ip := range in {
 				part := ip.Read(p)
 				if s == 0 {
 					seq = part.Seq
 				}
-				frame = append(frame, part.Payload...)
+				parts[s] = part.Payload
+				n += len(part.Payload)
 			}
-			if len(frame) != cfg.DecodedBytes() {
-				panic(fmt.Sprintf("apps: mergeframe %d assembled %d bytes, want %d", i, len(frame), cfg.DecodedBytes()))
+			if n != cfg.DecodedBytes() {
+				panic(fmt.Sprintf("apps: mergeframe %d assembled %d bytes, want %d", i, n, cfg.DecodedBytes()))
 			}
-			p.Delay(stageDuration(work, rng, len(frame)))
-			out[0].Write(p, kpn.Token{Seq: seq, Stamp: p.Now(), Payload: append([]byte{}, frame...)})
+			p.Delay(stageDuration(work, rng, n))
+			out[0].Write(p, cfg.Memo.Token("mjpeg/mergeframe", seq, p.Now(), func() []byte {
+				frame := make([]byte, 0, n)
+				for _, part := range parts {
+					frame = append(frame, part...)
+				}
+				return frame
+			}))
 		}
 	}
 }

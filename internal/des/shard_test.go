@@ -410,7 +410,7 @@ func BenchmarkShardDispatch(b *testing.B) {
 					remaining[sh] = count/shards - timers/shards
 				}
 				for t := 0; t < timers; t++ {
-					sk.Shard(t % shards).After(periods[t%len(periods)], ticks[t])
+					sk.Shard(t%shards).After(periods[t%len(periods)], ticks[t])
 				}
 				sk.Run(0)
 			}

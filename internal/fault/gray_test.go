@@ -2,6 +2,7 @@ package fault
 
 import (
 	"bytes"
+	"hash/fnv"
 	"testing"
 
 	"ftpn/internal/des"
@@ -210,6 +211,38 @@ func TestCorruptFlipsByteDeterministically(t *testing.T) {
 		if !bytes.Equal(a[i], b[i]) {
 			t.Fatalf("corruption not deterministic: %v vs %v", a, b)
 		}
+	}
+}
+
+// TestCorruptMemoTokenHashesOwnBytes: a corrupted copy of a memo token
+// keeps the token's memo entry, but its Hash must digest the corrupted
+// bytes, not return the entry's cached golden digest; value detection
+// compares exactly these digests.
+func TestCorruptMemoTokenHashesOwnBytes(t *testing.T) {
+	memo := kpn.NewPayloadMemo()
+	golden := memo.Token("s", 1, 0, func() []byte { return []byte{1, 2, 3, 4, 5, 6, 7, 8} })
+	goldenHash := golden.Hash() // caches the entry's digest
+
+	k := des.NewKernel()
+	f := kpn.NewFIFO(k, "c", 4)
+	s := NewSwitch(k)
+	gated := GateWrite(f, s)
+	s.InjectGray(Corrupt, Gray{EveryN: 1, Seed: 3})
+	var got kpn.Token
+	k.Spawn("w", 0, func(p *des.Proc) { gated.Write(p, golden) })
+	k.Spawn("r", 0, func(p *des.Proc) { got = f.Read(p) })
+	k.Run(0)
+
+	if bytes.Equal(got.Payload, golden.Payload) {
+		t.Fatal("gated write was not corrupted")
+	}
+	h := fnv.New64a()
+	h.Write(got.Payload) //nolint:errcheck // hash.Hash never errors
+	if got.Hash() != h.Sum64() {
+		t.Fatalf("corrupted token Hash = %#x, want FNV-1a of its bytes %#x", got.Hash(), h.Sum64())
+	}
+	if got.Hash() == goldenHash {
+		t.Fatal("corrupted token reports the golden digest")
 	}
 }
 

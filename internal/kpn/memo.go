@@ -20,17 +20,27 @@ import (
 // hands every later run (and the second replica within a run) the same
 // read-only byte slice.
 //
+// Each entry also carries the payload's FNV-1a digest, computed lazily
+// on the first Hash of a token built from the entry (see Token) and then
+// shared by every later run, so golden-stream comparisons hash each
+// memoised payload at most once per memo.
+//
 // Correctness: cached slices are exactly the bytes the stage would have
 // produced, so consumer streams — including the Seq+payload-hash golden
 // comparison of the campaign — stay bit-identical. Virtual timing is
 // unaffected: execution-time models draw from the input token size and
 // the per-process RNG, neither of which the memo changes. Callers must
 // treat payloads as immutable (the KPN stages already do — splits slice,
-// merges copy).
+// merges build a fresh frame).
+//
+// The memo is safe for concurrent use by parallel runs. Concurrent
+// misses on one key each compute the payload, but LoadOrStore settles
+// them on a single entry, so every token of that key shares one slice
+// and one digest.
 //
 // A nil *PayloadMemo is valid and disables caching.
 type PayloadMemo struct {
-	m      sync.Map // memoKey -> []byte
+	m      sync.Map // memoKey -> *memoEntry
 	hits   atomic.Int64
 	misses atomic.Int64
 }
@@ -41,22 +51,61 @@ type memoKey struct {
 	seq   int64
 }
 
+// memoEntry is one cached payload and its lazily computed digest.
+type memoEntry struct {
+	payload []byte
+	sum     atomic.Uint64
+	summed  atomic.Bool // sum is valid
+}
+
+// holds reports whether p is exactly the entry's payload slice: same
+// length and same backing array start. Payloads are immutable, so the
+// cached digest is then the digest of p.
+func (e *memoEntry) holds(p []byte) bool {
+	if len(p) != len(e.payload) {
+		return false
+	}
+	return len(p) == 0 || &p[0] == &e.payload[0]
+}
+
+// digest returns the payload's FNV-1a digest, computing it on first use.
+// Racing first calls compute the same value, so either store is correct.
+func (e *memoEntry) digest() uint64 {
+	if e.summed.Load() {
+		return e.sum.Load()
+	}
+	h := fnv1a(e.payload)
+	e.sum.Store(h)
+	e.summed.Store(true)
+	return h
+}
+
 // NewPayloadMemo returns an empty memo.
 func NewPayloadMemo() *PayloadMemo { return &PayloadMemo{} }
 
-// do returns the cached payload for (stage, seq), computing and caching
-// it via f on a miss. Concurrent first computations of the same key are
-// benign: both produce identical bytes and either slice may win.
-func (m *PayloadMemo) do(stage string, seq int64, compute func() []byte) []byte {
+// entry returns the cached entry for (stage, seq), computing and caching
+// its payload via compute on a miss.
+func (m *PayloadMemo) entry(stage string, seq int64, compute func() []byte) *memoEntry {
 	key := memoKey{stage, seq}
 	if v, ok := m.m.Load(key); ok {
 		m.hits.Add(1)
-		return v.([]byte)
+		return v.(*memoEntry)
 	}
 	m.misses.Add(1)
-	out := compute()
-	m.m.Store(key, out)
-	return out
+	v, _ := m.m.LoadOrStore(key, &memoEntry{payload: compute()})
+	return v.(*memoEntry)
+}
+
+// Token returns the token a stage emits for stream index seq at stamp,
+// with the payload (stage, seq) cached under compute: its Hash reuses the
+// entry's digest. With a nil memo it returns a plain token carrying
+// compute's fresh payload.
+func (m *PayloadMemo) Token(stage string, seq int64, stamp des.Time, compute func() []byte) Token {
+	if m == nil {
+		return Token{Seq: seq, Stamp: stamp, Payload: compute()}
+	}
+	e := m.entry(stage, seq, compute)
+	return Token{Seq: seq, Stamp: stamp, Payload: e.payload, memo: e}
 }
 
 // Lookup returns the cached payload for (stage, seq) without computing
@@ -72,7 +121,7 @@ func (m *PayloadMemo) Lookup(stage string, seq int64) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return v.([]byte), true
+	return v.(*memoEntry).payload, true
 }
 
 // Stats reports cache hits and misses (for tests and benchmarks).
@@ -90,7 +139,7 @@ func (m *PayloadMemo) Gen(stage string, gen func(i int64) []byte) func(i int64) 
 		return gen
 	}
 	return func(i int64) []byte {
-		return m.do(stage, i, func() []byte { return gen(i) })
+		return m.entry(stage, i, func() []byte { return gen(i) }).payload
 	}
 }
 
@@ -103,9 +152,9 @@ func (m *PayloadMemo) Gen(stage string, gen func(i int64) []byte) func(i int64) 
 // stages — declare forward channels before feedback channels so the
 // first input is the forward one. Like MemoTransform the payload must
 // be a pure function of (stream index, input payloads) for the memo to
-// be sound; a nil f forwards the first input's payload, a nil memo
-// disables caching. Package topo builds every synthetic DSL stage on
-// this behavior.
+// be sound; a nil f forwards the first input's payload (and its memo
+// entry), a nil memo disables caching. Package topo builds every
+// synthetic DSL stage on this behavior.
 func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f func(i int64, ins [][]byte) []byte) Behavior {
 	return func(p *des.Proc, in []ReadPort, out []WritePort) {
 		if len(in) == 0 || len(out) == 0 {
@@ -121,24 +170,19 @@ func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f fu
 			}
 			p.Delay(work.Duration(rng, total))
 			seq := toks[0].Seq
-			var payload []byte
+			var tok Token
 			if f == nil {
-				payload = toks[0].Payload
+				tok = toks[0]
+				tok.Stamp = p.Now()
 			} else {
-				compute := func() []byte {
+				tok = memo.Token(stage, seq, p.Now(), func() []byte {
 					ins := make([][]byte, len(toks))
 					for i := range toks {
 						ins[i] = toks[i].Payload
 					}
 					return f(seq, ins)
-				}
-				if memo != nil {
-					payload = memo.do(stage, seq, compute)
-				} else {
-					payload = compute()
-				}
+				})
 			}
-			tok := Token{Seq: seq, Stamp: p.Now(), Payload: payload}
 			for _, o := range out {
 				o.Write(p, tok)
 			}
@@ -151,11 +195,11 @@ func MemoStage(work WorkModel, seed int64, memo *PayloadMemo, stage string, f fu
 // local read counter) as its index argument: the stream index is what
 // determines the payload — a recovered replica's read counter drifts
 // from Seq after an outage, and every stage payload function in
-// internal/apps is index-independent anyway. With a nil memo the
-// behavior is identical to Transform except for that argument.
+// internal/apps is index-independent anyway. A nil f forwards the
+// payload; a nil memo disables caching.
 func MemoTransform(work WorkModel, seed int64, memo *PayloadMemo, stage string, f func(i int64, payload []byte) []byte) Behavior {
-	if f == nil || memo == nil {
-		return Transform(work, seed, f)
+	if f == nil {
+		return Transform(work, seed, nil)
 	}
 	return func(p *des.Proc, in []ReadPort, out []WritePort) {
 		if len(in) != 1 || len(out) != 1 {
@@ -165,8 +209,7 @@ func MemoTransform(work WorkModel, seed int64, memo *PayloadMemo, stage string, 
 		for {
 			tok := in[0].Read(p)
 			p.Delay(work.Duration(rng, tok.Size()))
-			payload := memo.do(stage, tok.Seq, func() []byte { return f(tok.Seq, tok.Payload) })
-			out[0].Write(p, Token{Seq: tok.Seq, Stamp: p.Now(), Payload: payload})
+			out[0].Write(p, memo.Token(stage, tok.Seq, p.Now(), func() []byte { return f(tok.Seq, tok.Payload) }))
 		}
 	}
 }

@@ -11,8 +11,6 @@
 package kpn
 
 import (
-	"hash/fnv"
-
 	"ftpn/internal/des"
 )
 
@@ -24,14 +22,40 @@ type Token struct {
 	Seq     int64
 	Stamp   des.Time
 	Payload []byte
+
+	// memo is the PayloadMemo entry Payload was taken from, or nil.
+	// Hash trusts the entry's cached digest only while Payload is still
+	// exactly the entry's slice.
+	memo *memoEntry
+}
+
+// FNV-1a 64-bit parameters (the values hash/fnv's New64a uses).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// fnv1a returns the 64-bit FNV-1a digest of b.
+func fnv1a(b []byte) uint64 {
+	h := uint64(fnvOffset64)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= fnvPrime64
+	}
+	return h
 }
 
 // Hash returns an FNV-1a digest of the payload, used by equivalence
-// checks to compare token values cheaply.
+// checks to compare token values cheaply. A token built from a
+// PayloadMemo entry reuses the entry's digest, computed at most once per
+// entry; any other payload, including one substituted into a copy of a
+// memo token (fault.Corrupt does this) or a reslice of a memo payload,
+// is hashed byte by byte.
 func (t Token) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write(t.Payload) //nolint:errcheck // hash.Hash never errors
-	return h.Sum64()
+	if e := t.memo; e != nil && e.holds(t.Payload) {
+		return e.digest()
+	}
+	return fnv1a(t.Payload)
 }
 
 // Size returns the payload size in bytes.

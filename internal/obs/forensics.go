@@ -11,9 +11,9 @@ import (
 // means the stage was not observed in the log (e.g. no harness-recorded
 // injection, or the replica was never repaired).
 type Explanation struct {
-	Channel string `json:"channel"`
-	Replica int    `json:"replica"`
-	Reason  string `json:"reason"`               // conviction reason (queue-full, divergence, ...)
+	Channel   string `json:"channel"`
+	Replica   int    `json:"replica"`
+	Reason    string `json:"reason"`               // conviction reason (queue-full, divergence, ...)
 	FaultMode string `json:"fault_mode,omitempty"` // injected mode, from the inject event
 
 	InjectedAt       int64 `json:"injected_at_us"`
@@ -36,8 +36,8 @@ type Explanation struct {
 
 	// FillAtConviction and Divergence are sampled by the fault hook at
 	// conviction time (Divergence in µs of selector/replicator lead).
-	FillAtConviction int    `json:"fill_at_conviction"`
-	Divergence       int64  `json:"divergence_us"`
+	FillAtConviction int   `json:"fill_at_conviction"`
+	Divergence       int64 `json:"divergence_us"`
 
 	// Chain is the supporting evidence in canonical log order: the
 	// inject, forgiven, drop-value, convict, reintegrate and recover
