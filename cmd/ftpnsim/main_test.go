@@ -82,8 +82,10 @@ func TestRunTracefile(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(cli("nope", "all", 1, 1000, 0)); err == nil {
-		t.Error("unknown experiment should fail")
+	for _, name := range []string{"nope", "shardbench"} {
+		if err := run(cli(name, "all", 1, 1000, 0)); err == nil {
+			t.Errorf("unknown experiment %q should fail", name)
+		}
 	}
 	if err := run(cli("table2", "unknown-app", 1, 1000, 0)); err == nil {
 		t.Error("unknown app should fail")

@@ -220,11 +220,6 @@ func (k *Kernel) Blocked() []string {
 // NumProcs returns the number of processes ever spawned on the kernel.
 func (k *Kernel) NumProcs() int { return len(k.procs) }
 
-// Pending returns the number of scheduled events not yet dispatched.
-// The shard runner (shard.go) uses it to distinguish an idle kernel
-// from one whose events lie beyond the current horizon.
-func (k *Kernel) Pending() int { return k.events.len() }
-
 // Dispatched returns the total number of events the kernel has
 // consumed across all Run calls — a progress counter for chunked
 // execution and throughput benchmarks.

@@ -43,8 +43,7 @@ type errKilled struct{}
 // A panic in body is re-thrown from Run. runtime.Goexit in body (and so
 // t.FailNow or t.Fatal in a test) ends the goroutine that called Run as
 // well, because iter.Pull propagates Goexit to the caller of next: Run
-// does not return, and on a ShardedKernel that goroutine is the shard's
-// runner.
+// does not return.
 func (k *Kernel) Spawn(name string, startDelay Time, body func(p *Proc)) *Proc {
 	if startDelay < 0 {
 		panic(fmt.Sprintf("des: negative start delay %d for process %q", startDelay, name))

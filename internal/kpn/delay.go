@@ -9,11 +9,8 @@ import (
 // DelayedFIFO is a channel whose tokens become visible to the reader a
 // fixed delay after they are written — the RTC delay bound of the
 // connection (the paper's communication delay d of the <p, j, d>
-// interface triple). It is the cross-shard channel primitive: the
-// delay is the static lookahead that makes conservative parallel
-// simulation possible, and the same channel type is used sequentially
-// so that a single-kernel run is a bit-identical oracle for any
-// sharded partitioning.
+// interface triple). Network.Instantiate builds one for every channel
+// with a positive DelayUs.
 //
 // Visibility is decided BY VALUE, not by event order: a record carries
 // its maturity instant, and Read compares it against the current
@@ -22,8 +19,7 @@ import (
 // other path (a timer, another channel) observes the token whether or
 // not that callback has run yet. This makes the reader's block/resume
 // pattern — and with it the canonical scheduler trace — independent of
-// how deliveries interleave with other same-instant events, which is
-// exactly what differs between a sequential run and a sharded one.
+// how the maturity callback interleaves with other same-instant events.
 //
 // Writes never block: the framework sizes FIFOs analytically from the
 // arrival and service curves (paper eqs. 3–8), so a correctly sized
@@ -53,9 +49,8 @@ type delayedRec struct {
 }
 
 // NewDelayedFIFO creates a delayed channel on kernel k. The delay must
-// be strictly positive — a zero delay would provide no lookahead and
-// belongs to the plain FIFO. Capacity is the nominal analytic bound
-// (positive, diagnostics only).
+// be strictly positive — a zero-delay channel is the plain FIFO.
+// Capacity is the nominal analytic bound (positive, diagnostics only).
 func NewDelayedFIFO(k *des.Kernel, name string, capacity int, delay des.Time) *DelayedFIFO {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("kpn: DelayedFIFO %q capacity must be positive, got %d", name, capacity))
@@ -115,15 +110,14 @@ func (f *DelayedFIFO) Preload(toks []Token) {
 // Write implements WritePort: the token matures delay ticks from now.
 // It never blocks (see the type comment).
 func (f *DelayedFIFO) Write(p *des.Proc, tok Token) {
-	f.Deliver(p.Now()+f.delay, tok)
+	f.deliver(p.Now()+f.delay, tok)
 }
 
-// Deliver enqueues a token maturing at the given instant. It is the
-// entry point for cross-shard drains, which receive (token, timestamp)
-// pairs whose maturity was fixed on the writing shard. The instant
-// must not precede the latest queued record — per-channel FIFO order
-// is the sharded/sequential identity contract.
-func (f *DelayedFIFO) Deliver(at des.Time, tok Token) {
+// deliver enqueues a token maturing at the given instant. The instant
+// must not precede the latest queued record: Read takes records in
+// list order, so a later record maturing earlier would be hidden
+// behind it.
+func (f *DelayedFIFO) deliver(at des.Time, tok Token) {
 	if n := len(f.recs); n > f.head && at < f.recs[n-1].at {
 		panic(fmt.Sprintf("kpn: DelayedFIFO %q delivery at %d before queued record at %d",
 			f.name, at, f.recs[n-1].at))

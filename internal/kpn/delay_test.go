@@ -45,7 +45,7 @@ func TestDelayedFIFOVisibility(t *testing.T) {
 func TestDelayedFIFOVisibilityByValue(t *testing.T) {
 	k := des.NewKernel()
 	f := NewDelayedFIFO(k, "D", 4, 7)
-	f.Deliver(7, Token{Seq: 1}) // matures at 7
+	f.deliver(7, Token{Seq: 1}) // matures at 7
 
 	sawAt := des.Time(-1)
 	k.Spawn("poller", 0, func(p *des.Proc) {
@@ -84,13 +84,13 @@ func TestDelayedFIFOPreload(t *testing.T) {
 func TestDelayedFIFODeliverRejectsReorder(t *testing.T) {
 	k := des.NewKernel()
 	f := NewDelayedFIFO(k, "D", 4, 3)
-	f.Deliver(10, Token{Seq: 1})
+	f.deliver(10, Token{Seq: 1})
 	defer func() {
 		if recover() == nil {
-			t.Fatalf("out-of-order Deliver did not panic")
+			t.Fatalf("out-of-order deliver did not panic")
 		}
 	}()
-	f.Deliver(9, Token{Seq: 2})
+	f.deliver(9, Token{Seq: 2})
 }
 
 func TestDelayedFIFOConstructorValidation(t *testing.T) {

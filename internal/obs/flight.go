@@ -33,12 +33,13 @@ const (
 )
 
 // FlightEvent is one structured record in the flight log. At is the
-// virtual timestamp in µs; Shard and Seq identify where and in what
-// arrival order the event was captured (transport metadata — excluded
-// from the canonical serialization, see Bytes). Channel names the
-// arbitration channel (or the process, for kernel-sourced events), and
-// Aux carries a kind-specific payload: selector lead for probe events,
-// divergence for convictions, recovery latency for recover events.
+// virtual timestamp in µs; Shard (the tag passed to Stream) and Seq
+// identify which stream captured the event and in what arrival order
+// (transport metadata — excluded from the canonical serialization, see
+// Bytes). Channel names the arbitration channel (or the process, for
+// kernel-sourced events), and Aux carries a kind-specific payload:
+// selector lead for probe events, divergence for convictions, recovery
+// latency for recover events.
 type FlightEvent struct {
 	At      int64  `json:"at_us"`
 	Shard   int    `json:"shard"`
@@ -52,22 +53,22 @@ type FlightEvent struct {
 }
 
 // FlightStream is one bounded single-writer-ordered event ring inside a
-// FlightRecorder. Each emitter (a shard's probe set, a kernel tracer)
-// records into its own stream; Record is mutex-guarded so wall-clock
-// (crt) emitters may also share one stream across goroutines.
+// FlightRecorder. Each emitter (a probe set, a kernel tracer) records
+// into its own stream; Record is mutex-guarded so wall-clock (crt)
+// emitters may also share one stream across goroutines.
 //
 // A nil *FlightStream is a no-op on Record: recording disabled costs
 // one predicted branch per event site and zero allocations, matching
 // the registry's nil-metric idiom.
 type FlightStream struct {
-	mu    sync.Mutex
-	shard int
-	ring  []FlightEvent
-	next  uint64 // events ever recorded; also the next seq
+	mu   sync.Mutex
+	tag  int
+	ring []FlightEvent
+	next uint64 // events ever recorded; also the next seq
 }
 
-// Record appends ev to the stream, stamping its shard and sequence
-// number. The ring is bounded: once full, the oldest event is
+// Record appends ev to the stream, stamping its stream tag and
+// sequence number. The ring is bounded: once full, the oldest event is
 // overwritten (and counted as dropped). No allocation on the hot path —
 // the ring is preallocated and the event is copied by value.
 func (s *FlightStream) Record(ev FlightEvent) {
@@ -75,7 +76,7 @@ func (s *FlightStream) Record(ev FlightEvent) {
 		return
 	}
 	s.mu.Lock()
-	ev.Shard = s.shard
+	ev.Shard = s.tag
 	ev.Seq = s.next
 	s.ring[s.next%uint64(len(s.ring))] = ev
 	s.next++
@@ -104,13 +105,12 @@ const DefaultFlightCap = 1 << 16
 
 // FlightRecorder is the bounded structured event log: a set of
 // per-emitter streams whose merged view is deterministic in virtual
-// time. The merge uses the same canonical key family as
-// des.TraceCollector — (time, channel, per-channel arrival index) —
-// so a run's log is byte-identical whether the network ran on one
-// kernel or was partitioned across shards: every channel lives on
-// exactly one shard, making its per-stream arrival order the channel's
-// own deterministic event order, and cross-channel ties are broken by
-// name rather than by scheduling accidents.
+// time. The merge key is (time, channel, per-channel arrival index):
+// every channel is recorded by exactly one stream, making that
+// stream's arrival order the channel's own deterministic event order,
+// and cross-channel ties are broken by name rather than by which
+// emitter happened to record first. The log is therefore independent
+// of how events are split across streams (probe sets, kernel tracers).
 //
 // A nil *FlightRecorder hands out nil streams and empty views.
 type FlightRecorder struct {
@@ -128,15 +128,16 @@ func NewFlightRecorder(capPerStream int) *FlightRecorder {
 	return &FlightRecorder{cap: capPerStream}
 }
 
-// Stream allocates a new event stream tagged with the emitting shard.
-// Call once per emitter (per shard's probe set, per kernel tracer);
+// Stream allocates a new event stream tagged with the given integer
+// (stamped into FlightEvent.Shard). Call once per emitter (per probe
+// set, per kernel tracer);
 // returns nil on a nil recorder, so the disabled path stays a single
 // branch at every Record site.
-func (fr *FlightRecorder) Stream(shard int) *FlightStream {
+func (fr *FlightRecorder) Stream(tag int) *FlightStream {
 	if fr == nil {
 		return nil
 	}
-	s := &FlightStream{shard: shard, ring: make([]FlightEvent, fr.cap)}
+	s := &FlightStream{tag: tag, ring: make([]FlightEvent, fr.cap)}
 	fr.mu.Lock()
 	fr.streams = append(fr.streams, s)
 	fr.mu.Unlock()
@@ -146,14 +147,14 @@ func (fr *FlightRecorder) Stream(shard int) *FlightStream {
 // AttachKernel installs a tracer on k recording scheduler events
 // (spawn/resume/block/end/stop) into a new stream, with the process
 // name as the event channel. Kernel callbacks (Proc == "") are
-// excluded — they are shard-protocol artifacts, exactly as in
-// des.TraceCollector. Note des kernels hold a single tracer slot, so
-// this replaces any TraceCollector already attached.
-func (fr *FlightRecorder) AttachKernel(k *des.Kernel, shard int) {
+// excluded: they carry no process name to key the merge on. Note des
+// kernels hold a single tracer slot, so this replaces any tracer
+// already attached.
+func (fr *FlightRecorder) AttachKernel(k *des.Kernel, tag int) {
 	if fr == nil || k == nil {
 		return
 	}
-	st := fr.Stream(shard)
+	st := fr.Stream(tag)
 	k.Trace(func(e des.TraceEvent) {
 		if e.Proc == "" {
 			return
@@ -200,7 +201,7 @@ func (fr *FlightRecorder) merged() []flightRec {
 			return a.idx - b.idx
 		}
 		// Same channel recorded by two streams — outside the
-		// one-channel-one-shard contract; fall back to transport order
+		// one-channel-one-stream contract; fall back to transport order
 		// so the sort at least stays total.
 		if a.ev.Shard != b.ev.Shard {
 			return a.ev.Shard - b.ev.Shard
@@ -265,9 +266,9 @@ func (fr *FlightRecorder) Dropped() uint64 {
 
 // Bytes renders the canonical serialization: one line per event in
 // merged order, excluding the transport metadata (shard, seq) that
-// legitimately differs between partitionings. This is the artifact the
-// identity tests compare — byte-identical across -parallel levels and
-// shard counts 1..8.
+// depends on how events were split across streams. This is the
+// artifact the identity tests compare — byte-identical across
+// -parallel levels and stream splits.
 func (fr *FlightRecorder) Bytes() []byte {
 	var buf bytes.Buffer
 	for _, r := range fr.merged() {

@@ -5,8 +5,9 @@ package topo
 // diamonds, fan-in selectors and feedback loops — with work models
 // budgeted so the network is schedulable (total worst-case stage
 // latency well under the stream period), every channel carrying a
-// positive RTC delay bound (so any shard width can partition it), and
-// every feedback loop preloaded (so kpn.DeadlockRisks stays empty).
+// positive RTC delay bound (so generated networks run on
+// kpn.DelayedFIFO), and every feedback loop preloaded (so
+// kpn.DeadlockRisks stays empty).
 // Each spec also draws a detection policy and a fault scenario, so a
 // sweep over seeds exercises the whole detection/masking matrix on
 // networks nobody hand-wired. The topobench harness in internal/exp
@@ -133,8 +134,8 @@ func (g *builder) connect(from, to string, init int) {
 	g.spec.Chans = append(g.spec.Chans, g.chanSpec(from, to, init))
 }
 
-// chanSpec draws one channel. Every channel gets a positive DelayUs so
-// the sharded partitioner can cut anywhere.
+// chanSpec draws one channel. Every channel gets a positive DelayUs, so
+// it is instantiated as a kpn.DelayedFIFO.
 func (g *builder) chanSpec(from, to string, init int) ChanSpec {
 	c := ChanSpec{
 		Name:    fmt.Sprintf("ch%d", g.nextChan),
